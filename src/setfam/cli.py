@@ -38,15 +38,8 @@ from .core import (
     lex_segment,
     t_star_union,
 )
-from .counting import (
-    DISJOINT_PAIRS,
-    Q_MATCHINGS,
-    T_DISJOINT_PAIRS,
-    disjoint_pairs,
-    q_matchings,
-    t_disjoint_pairs,
-)
-from .formulas import evaluate_all, thresholds, value_str
+from .counting import DISJOINT_PAIRS, Q_MATCHINGS, T_DISJOINT_PAIRS, statistic_report
+from .formulas import BOUND_NAMES, evaluate_all, thresholds, value_str
 from .kneser import KneserGraph, export_edge_list, spectral_lower_bound, spectrum
 from .search import (
     DEFAULT_NODE_BUDGET,
@@ -60,17 +53,7 @@ from .search import (
 BUDGET_ENV = "SETFAM_NODE_BUDGET"
 STAT_FLAGS = {"disj": DISJOINT_PAIRS, "tdisj": T_DISJOINT_PAIRS, "qmatch": Q_MATCHINGS}
 
-_BOUND_COLUMNS = (
-    "lex_formula",
-    "upper_eq1",
-    "bonferroni_eq2",
-    "qmatch_upper_eq3",
-    "qmatch_lower_eq4_core",
-    "tstar_heuristic_eq5",
-    "prop21_floor",
-    "spectral_kneser",
-)
-_SWEEP_COLUMNS = ("n", "k", "s", "t", "q", "r", "alpha") + _BOUND_COLUMNS
+_SWEEP_COLUMNS = ("n", "k", "s", "t", "q", "r", "alpha") + BOUND_NAMES
 _CERTIFY_COLUMNS = ("minimum", "lex_optimal", "complete", "nodes_visited")
 
 
@@ -157,20 +140,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    fam = _read_family(args.infile)
-    stat = STAT_FLAGS[args.stat]
-    if stat == DISJOINT_PAIRS:
-        report = disjoint_pairs(fam)
-    elif stat == T_DISJOINT_PAIRS:
-        report = disjoint_pairs(fam) if args.t == 1 else t_disjoint_pairs(fam, args.t)
-    else:
-        report = q_matchings(fam, args.q)
+    report = statistic_report(_read_family(args.infile), STAT_FLAGS[args.stat], args.t, args.q)
     _emit_json(report.to_json_obj())
     return 0
 
 
 def _bound_cells(params: Params) -> dict[str, str]:
-    cells = {name: "" for name in _BOUND_COLUMNS}
+    cells = {name: "" for name in BOUND_NAMES}
     for rep in evaluate_all(params):
         if rep.applicable:
             cells[rep.name] = value_str(rep.value)

@@ -23,7 +23,7 @@ from typing import IO, Iterator
 import numpy as np
 
 from .core import KSet, RangeError, SetFamily, all_kset_masks, binom
-from .counting import disjoint_pairs
+from .counting import _t_disjoint_rows, disjoint_pairs
 
 _EDGE_LIST_CAP = 10**5
 _NUMERIC_CAP = 2000
@@ -82,16 +82,11 @@ class KneserGraph:
 
 
 def induced_edges(g: KneserGraph, f: SetFamily) -> int:
-    """Edges of the graph with both ends in f, straight from the adjacency oracle."""
+    """Edges of the graph with both ends in f: the disjoint pairs of f, from
+    the counting pair kernel (a loop below its crossover size, bitsets above)."""
     if (f.n, f.k) != (g.n, g.k):
         raise RangeError(f"family context (n={f.n}, k={f.k}) does not match K({g.n},{g.k})")
-    members = f.members
-    count = 0
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            if g.adjacent(a, b):
-                count += 1
-    return count
+    return disjoint_pairs(f).value
 
 
 @dataclass(frozen=True)
@@ -138,13 +133,10 @@ def adjacency_matrix(n: int, k: int) -> np.ndarray:
     N = binom(n, k)
     if N > _NUMERIC_CAP:
         raise RangeError(f"vertex count {N} exceeds the {_NUMERIC_CAP} numeric cap")
-    masks = list(all_kset_masks(n, k))
-    mat = np.zeros((N, N), dtype=np.float64)
-    for i, mi in enumerate(masks):
-        for j in range(i + 1, N):
-            if not mi & masks[j]:
-                mat[i, j] = mat[j, i] = 1.0
-    return mat
+    rows = _t_disjoint_rows(list(all_kset_masks(n, k)), n, 1)
+    width = (N + 7) // 8
+    bits = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), dtype=np.uint8)
+    return np.unpackbits(bits.reshape(N, width), axis=1, bitorder="little")[:, :N].astype(np.float64)
 
 
 def numeric_eigenvalues(n: int, k: int) -> np.ndarray:

@@ -26,7 +26,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 from .core import (
@@ -45,9 +47,10 @@ from .counting import (
     DISJOINT_PAIRS,
     Q_MATCHINGS,
     T_DISJOINT_PAIRS,
-    disjoint_pairs,
-    q_matchings,
-    t_disjoint_pairs,
+    _incidence,
+    _partner_counter,
+    _t_disjoint_rows,
+    statistic_report,
 )
 
 MODES = ("exhaustive", "branch_and_bound", "local_search")
@@ -57,13 +60,7 @@ _ENUMERATION_CAP = 4 * 10**6
 
 def statistic_value(f: SetFamily, statistic: str, t: int = 1, q: int = 2) -> int:
     """Evaluate one of the three statistics on a family."""
-    if statistic == DISJOINT_PAIRS:
-        return disjoint_pairs(f).value
-    if statistic == T_DISJOINT_PAIRS:
-        return disjoint_pairs(f).value if t == 1 else t_disjoint_pairs(f, t).value
-    if statistic == Q_MATCHINGS:
-        return q_matchings(f, q).value
-    raise RangeError(f"unknown statistic {statistic!r}")
+    return statistic_report(f, statistic, t, q).value
 
 
 @dataclass(frozen=True)
@@ -134,26 +131,15 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _pair_rows(masks: Sequence[int], statistic: str, t: int) -> list[int]:
-    """rows[i] = index bitmask of the j whose pair with i counts as an edge."""
-    N = len(masks)
-    rows = [0] * N
-    if statistic == T_DISJOINT_PAIRS and t > 1:
-        for i in range(N):
-            mi = masks[i]
-            for j in range(i + 1, N):
-                if (mi & masks[j]).bit_count() < t:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-    else:
-        # plain disjointness, also the adjacency matchings are built from
-        for i in range(N):
-            mi = masks[i]
-            for j in range(i + 1, N):
-                if not mi & masks[j]:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-    return rows
+def _pair_rows(masks: Sequence[int], n: int, statistic: str, t: int) -> list[int]:
+    """rows[i] = index bitmask of the j whose pair with i counts as an edge.
+
+    Edges are t-disjoint pairs for t-disjointness, else disjoint pairs (which
+    matchings are built from).  Above the counting kernel's crossover N the
+    rows cost O(N*k*t) big-int operations rather than N^2/2 pair tests.
+    rows[i] never holds i: a set meets itself in k >= t elements.
+    """
+    return _t_disjoint_rows(masks, n, t if statistic == T_DISJOINT_PAIRS else 1)
 
 
 def _matchings_in(index_bits: int, j: int, rows: Sequence[int]) -> int:
@@ -250,7 +236,7 @@ def certify_minimum(params: Params, statistic: str, config: SearchConfig | None 
     if statistic == Q_MATCHINGS and q == 1:
         return SearchCertificate(params, statistic, s, lex, s, True, 0, True)
 
-    rows = _pair_rows(masks, statistic, t)
+    rows = _pair_rows(masks, n, statistic, t)
     if statistic == Q_MATCHINGS:
 
         def inc(c: int, bits: int) -> int:
@@ -402,10 +388,7 @@ def _center_tuples(n: int, t: int, r: int):
 
 
 def _common_core_size(center_masks: Sequence[int]) -> int:
-    inter = center_masks[0]
-    for m in center_masks[1:]:
-        inter &= m
-    return inter.bit_count()
+    return reduce(and_, center_masks).bit_count()
 
 
 @dataclass(frozen=True)
@@ -455,27 +438,18 @@ def verify_lemma_42(n: int, k: int, t: int, r: int) -> StarUnionMinimumReport:
         raise RangeError(f"need 1 <= t < k <= n, got n={n} k={k} t={t}")
     if r < 1:
         raise RangeError(f"need r >= 1, got r={r}")
-    masks = list(all_kset_masks(n, k))
     centers, tuples_iter = _center_tuples(n, t, r)
-    # per center, the index bitmask of k-sets containing it
-    contain = {}
-    for c in centers:
-        cm = _elements_mask(c)
-        bits = 0
-        for i, m in enumerate(masks):
-            if m & cm == cm:
-                bits |= 1 << i
-        contain[c] = bits
+    # per center, the index bitmask of k-sets containing it: the AND of its
+    # elements' incidence bitsets
+    incidence = _incidence(list(all_kset_masks(n, k)), n)
+    contain = {c: reduce(and_, [incidence[e - 1] for e in c]) for c in centers}
     expected = binom(n - t + 1, k - t + 1) - binom(n - t - r + 1, k - t + 1)
     min_union = None
     minimizers = []
     checked = 0
     for tup in tuples_iter:
         checked += 1
-        bits = 0
-        for c in tup:
-            bits |= contain[c]
-        size = bits.bit_count()
+        size = reduce(or_, [contain[c] for c in tup]).bit_count()
         if min_union is None or size < min_union:
             min_union = size
             minimizers = [tup]
@@ -488,10 +462,7 @@ def verify_lemma_42(n: int, k: int, t: int, r: int) -> StarUnionMinimumReport:
     if core_ok:
         for tup in _center_tuples(n, t, r)[1]:
             if _common_core_size([_elements_mask(c) for c in tup]) >= t - 1:
-                bits = 0
-                for c in tup:
-                    bits |= contain[c]
-                if bits.bit_count() != min_union:
+                if reduce(or_, [contain[c] for c in tup]).bit_count() != min_union:
                     core_ok = False
                     break
     return StarUnionMinimumReport(
@@ -551,10 +522,6 @@ class StarUnionPairsReport:
         }
 
 
-def _t_disjoint_count_against(mask: int, member_masks: Sequence[int], t: int) -> int:
-    return sum(1 for m in member_masks if (mask & m).bit_count() < t)
-
-
 def verify_lemma_43_44(n: int, k: int, t: int, r: int) -> StarUnionPairsReport:
     """Exhaustively compare every r-tuple of full t-stars with the nested one."""
     if not 1 <= t < k <= n:
@@ -567,7 +534,7 @@ def verify_lemma_43_44(n: int, k: int, t: int, r: int) -> StarUnionPairsReport:
     ref_centers = [tuple(range(1, t)) + (t - 1 + i,) for i in range(1, r + 1)]
     ref_fam = t_star_union(n, k, ref_centers)
     ref_added = tuple(range(1, t)) + tuple(range(t + r, t + r + (k - t + 1)))
-    baseline = _t_disjoint_count_against(_elements_mask(ref_added), ref_fam.masks, t)
+    baseline = _partner_counter(ref_fam.masks, n, t)(_elements_mask(ref_added))
 
     all_masks = list(all_kset_masks(n, k))
     violations: list[str] = []
@@ -580,16 +547,12 @@ def verify_lemma_43_44(n: int, k: int, t: int, r: int) -> StarUnionPairsReport:
     stat = T_DISJOINT_PAIRS if t > 1 else DISJOINT_PAIRS
     for tup in _center_tuples(n, t, r)[1]:
         center_masks = [_elements_mask(c) for c in tup]
-        union_mask = 0
-        for cm in center_masks:
-            union_mask |= cm
-        inter = center_masks[0]
-        for cm in center_masks[1:]:
-            inter &= cm
+        union_mask = reduce(or_, center_masks)
+        inter = reduce(and_, center_masks)
         common_core = inter.bit_count() >= t - 1
         fam = t_star_union(n, k, tup)
         member_set = fam._mask_set
-        member_masks = fam.masks
+        created_by = _partner_counter(fam.masks, n, t)
 
         # full-stars comparison at this tuple's size
         full_checked += 1
@@ -609,7 +572,7 @@ def verify_lemma_43_44(n: int, k: int, t: int, r: int) -> StarUnionPairsReport:
             if fm in member_set:
                 continue
             addset_checked += 1
-            created = _t_disjoint_count_against(fm, member_masks, t)
+            created = created_by(fm)
             if created < baseline:
                 addset_ineq = False
                 violations.append(

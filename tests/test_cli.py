@@ -152,6 +152,20 @@ def test_certify_budget_env(capsys, monkeypatch):
     assert BUDGET_ENV in err
 
 
+def test_certify_large_ground_set(capsys):
+    # C(24,4) = 10626 candidate sets, so building the search's adjacency rows
+    # is nearly all of this run.  The lex segment lies inside the star of
+    # {1,2} and has no 2-disjoint pair, so the bound closes the search at once.
+    code, out, _ = run(
+        capsys, "certify", "--n", "24", "--k", "4", "--s", "40", "--stat", "tdisj",
+        "--t", "2", "--budget", "10",
+    )
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["minimum"] == "0"
+    assert obj["complete"] is True
+
+
 def test_certify_local_search_exit_0(capsys):
     # heuristic mode never certifies, so incompleteness is not an error
     code, out, _ = run(
