@@ -197,10 +197,15 @@ class SetFamily:
                 raise RangeError(f"mask {m:#x} is not a {k}-subset of [{n}]")
             seen.add(m)
             clean.append(m)
-        clean.sort(key=_mask_elements)
-        self.n = n
-        self.k = k
-        self.masks = tuple(clean)
+        self.n, self.k, self.masks = n, k, tuple(sorted(clean, key=_mask_elements))
+
+    @classmethod
+    def _from_checked(cls, n: int, k: int, masks: list[int]) -> "SetFamily":
+        """A family from distinct masks its caller has already checked to be
+        k-subsets of [n], with 1 <= k <= n <= MAX_GROUND_SET."""
+        fam = cls.__new__(cls)
+        fam.n, fam.k, fam.masks = n, k, tuple(sorted(masks, key=_mask_elements))
+        return fam
 
     @classmethod
     def from_sets(cls, n: int, k: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
@@ -303,7 +308,7 @@ class SetFamily:
                 raise FamilyFormatError(f"duplicate set {raw!r}", idx + 1)
             seen.add(m)
             masks.append(m)
-        return cls(n, k, masks)
+        return cls._from_checked(n, k, masks)
 
     def to_json_obj(self) -> dict:
         return {
@@ -334,7 +339,7 @@ class SetFamily:
                 raise FamilyFormatError(f"sets[{i}] duplicates an earlier set: {s!r}")
             seen.add(m)
             masks.append(m)
-        return cls(n, k, masks)
+        return cls._from_checked(n, k, masks)
 
 
 def all_kset_masks(n: int, k: int) -> Iterator[int]:

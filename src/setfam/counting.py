@@ -196,7 +196,12 @@ def cross_disjoint_pairs(f: SetFamily, g: SetFamily) -> int:
     since no k-set is disjoint from itself.
     """
     f.check_context(g)
-    return sum(map(_partner_counter(g.masks, f.n, 1), f.masks))
+    # the count is symmetric: bitsets (or the scan) over the larger family,
+    # one query per member of the smaller
+    pool, queries = (g.masks, f.masks) if len(g) >= len(f) else (f.masks, g.masks)
+    if not queries:
+        return 0
+    return sum(map(_partner_counter(pool, f.n, 1), queries))
 
 
 def t_disjoint_pairs(f: SetFamily, t: int) -> CountReport:

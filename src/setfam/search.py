@@ -9,16 +9,46 @@ first chosen set to {1, ..., k}: any family maps under some relabeling to
 one containing the overall lex-least k-set, and the lex-least minimizer
 always contains it.
 
-Two admissible lower bounds drive branch-and-bound: the partial count itself
-(completions add at least zero), and the partial count plus (slots left) *
-(cheapest possible increment against the current members), valid because
-increments only grow as the family fills.  Exhaustive mode applies neither
-and visits every chain.
-
 The search is seeded with the lex segment, so the reported minimum never
 exceeds the lex value even on budget exhaustion, and the witness is the
 lex-least minimizer: chains are visited in lex order and only strict
-improvements replace the incumbent.
+improvements replace the incumbent.  Exhaustive mode prunes nothing and
+visits every chain.  Branch-and-bound adds the rules below; each leaves both
+the minimum and the lex-least witness unchanged.
+
+Partial count.  A chain whose partial count already reaches the incumbent is
+dropped: completions add at least zero, so it can only tie.
+
+Sum of the smallest increments (disjoint and t-disjoint pairs).  With
+``need`` slots left after ranks below ``start``, the completion adds one
+distinct candidate c >= start per slot, and c adds at least inc(c), the
+pairs it forms with the current members: the members only grow, so its
+increment when it is finally added is no smaller.  The completion therefore
+adds at least the sum of the ``need`` smallest inc(c) over c in [start, N),
+and a node whose partial count plus that sum reaches the incumbent is
+dropped.  It is evaluated at nodes where one pair per remaining slot would
+already reach the incumbent.  q-matchings keep only the partial-count rule.
+
+Complement reduction (disjoint and t-disjoint pairs, 2s > N).  Both graphs
+are d-regular (every k-set has d = sum_{i<t} C(k,i) C(n-k,k-i) partners), so
+summing degrees over a family F and over its complement gives
+e(F) = e(F^c) + d(2s - N)/2: F minimizes at size s exactly when F^c
+minimizes at size N - s.  The search first certifies the minimum m' at size
+N - s.  Among sets of one size, F is lex-least exactly when F^c is
+lex-greatest, since the least rank in their symmetric difference decides
+both comparisons.  A second search at size N - s therefore tries
+candidates in descending order at every slot, drops chains whose value
+exceeds m', and stops at its first leaf: the lex-greatest complement
+minimizer, whose complement is the lex-least minimizer at size s.  When
+m' + d(2s - N)/2 equals the lex value the lex segment, the least family of
+all, is the witness and the second search is skipped.  On budget
+exhaustion the better of the lex segment and the complement of the best
+chain found comes back, with complete=False.  This path neither reads nor
+writes a checkpoint.
+
+Closed gap.  A search stops once its incumbent equals a proven lower bound:
+0 for a minimum, m' for the witness search.  Chains not yet visited come
+later in the visiting order and can at best tie, so the witness stands.
 """
 
 from __future__ import annotations
@@ -131,6 +161,10 @@ class _BudgetExhausted(Exception):
     pass
 
 
+class _GapClosed(Exception):
+    pass
+
+
 def _pair_rows(masks: Sequence[int], n: int, statistic: str, t: int) -> list[int]:
     """rows[i] = index bitmask of the j whose pair with i counts as an edge.
 
@@ -202,16 +236,115 @@ def _load_checkpoint(path: str, params: Params, statistic: str, config: SearchCo
     )
 
 
+def _smallest_sum_reaches(vals: list[int], need: int, gap: int) -> bool:
+    """Whether the ``need`` smallest entries of vals sum to at least gap.
+
+    The entries are small non-negative counts, so they are taken level by
+    level with list.count instead of a sort.  total + need * v is a lower
+    bound on the sum at every step (the entries not yet taken are >= v); the
+    first step is the cheap bound need * min(vals), and the loop ends as soon
+    as the bound reaches gap or a level holds every entry still needed.
+    """
+    v = min(vals)
+    total = 0
+    while total + need * v < gap:
+        c = vals.count(v)
+        if c >= need:
+            return False
+        total += c * v
+        need -= c
+        v += 1
+    return True
+
+
+def _chain_search(rows: Sequence[int], statistic: str, q: int, prune: bool, budget: int):
+    """A depth-first search over increasing rank chains, with the rules above.
+
+    search(state, size, floor, first_ranks, descending, after_rank) walks the
+    chains of ``size`` ranks whose first rank is in first_ranks, improving
+    state.best_value/best_chain on strict improvements and charging every
+    candidate tried to state.nodes.  It stops early once the incumbent is at
+    most floor (pass -1 to disable), raises _BudgetExhausted when
+    state.nodes passes budget, and calls after_rank(f0) after each fully
+    explored first rank.  With descending=True every slot tries its
+    candidates from the highest rank down.
+    """
+    N = len(rows)
+    strong = prune and statistic != Q_MATCHINGS
+    if statistic == Q_MATCHINGS:
+
+        def inc(c: int, bits: int) -> int:
+            return _matchings_in(rows[c] & bits, q - 1, rows)
+
+    else:
+
+        def inc(c: int, bits: int) -> int:
+            return (rows[c] & bits).bit_count()
+
+    def search(state, size, floor, first_ranks, descending=False, after_rank=None) -> None:
+        best, best_chain, nodes = state.best_value, state.best_chain, state.nodes
+        chosen: list[int] = []
+
+        def rec(start: int, bits: int, cnt: int, need: int) -> None:
+            nonlocal best, best_chain, nodes
+            # as with the cheap bound it replaces, only where one pair per
+            # remaining slot would reach the incumbent (ROADMAP item 3 has
+            # the measured ungated variant)
+            if strong and need >= 2 and cnt + need > best:
+                vals = [(r & bits).bit_count() for r in rows[start:]]
+                if _smallest_sum_reaches(vals, need, best - cnt):
+                    return
+            for c in range(N - need, start - 1, -1) if descending else range(start, N - need + 1):
+                nodes += 1
+                if nodes > budget:
+                    raise _BudgetExhausted
+                v = cnt + inc(c, bits)
+                if prune and v >= best:
+                    continue
+                if need == 1:
+                    if v < best:
+                        best, best_chain = v, (*chosen, c)
+                        if best <= floor:
+                            raise _GapClosed
+                else:
+                    chosen.append(c)
+                    rec(c + 1, bits | (1 << c), v, need - 1)
+                    chosen.pop()
+
+        def sync() -> None:
+            state.best_value, state.best_chain, state.nodes = best, best_chain, nodes
+
+        try:
+            for f0 in first_ranks:
+                if best <= floor:
+                    return
+                chosen = [f0]
+                try:
+                    rec(f0 + 1, 1 << f0, 0, size - 1)
+                except _GapClosed:
+                    pass
+                if after_rank:
+                    sync()
+                    after_rank(f0)
+        finally:
+            sync()
+
+    return search
+
+
 def certify_minimum(params: Params, statistic: str, config: SearchConfig | None = None) -> SearchCertificate:
     """Minimum of the statistic over all families of size s, with certificate.
 
     Exhaustive and branch_and_bound modes certify (complete=True) unless the
     node budget runs out, in which case the best family found so far comes
-    back with complete=False.  local_search mode descends from the lex
-    segment and from seeded random restarts and never certifies.  The
-    checkpoint file, when configured, records the last fully explored
-    first-member rank and lets an interrupted run resume past it; budget
-    accounting is cumulative across resumed runs.
+    back with complete=False.  Every search phase draws on the one node
+    budget, and nodes_visited is their total.  local_search mode descends
+    from the lex segment and from seeded random restarts and never
+    certifies.  The checkpoint file, when configured, records the last fully
+    explored first-member rank and lets an interrupted run resume past it;
+    budget accounting is cumulative across resumed runs.  The complement
+    path of branch_and_bound (pair statistics with 2s > N) writes no
+    checkpoint.
     """
     config = config or SearchConfig()
     n, k, s = params.n, params.k, params.s
@@ -237,19 +370,41 @@ def certify_minimum(params: Params, statistic: str, config: SearchConfig | None 
         return SearchCertificate(params, statistic, s, lex, s, True, 0, True)
 
     rows = _pair_rows(masks, n, statistic, t)
-    if statistic == Q_MATCHINGS:
-
-        def inc(c: int, bits: int) -> int:
-            return _matchings_in(rows[c] & bits, q - 1, rows)
-
-    else:
-
-        def inc(c: int, bits: int) -> int:
-            return (rows[c] & bits).bit_count()
-
     prune = config.mode == "branch_and_bound"
-    strong = prune and statistic != Q_MATCHINGS
-    budget = config.node_budget
+    search = _chain_search(rows, statistic, q, prune, config.node_budget)
+
+    def certificate(value: int, chain: Iterable[int], nodes: int, complete: bool) -> SearchCertificate:
+        witness = SetFamily(n, k, (masks[i] for i in chain))
+        return SearchCertificate(
+            params, statistic, value, witness, lex_value, value == lex_value, nodes, complete
+        )
+
+    if prune and statistic != Q_MATCHINGS and 2 * s > N:
+        size = N - s
+        shift = rows[0].bit_count() * (2 * s - N) // 2  # e(F) - e(F^c), the graph being regular
+        state = _SearchState(lex_value - shift, tuple(range(s, N)), 0, -1)  # lex^c
+
+        def complement(chain: tuple[int, ...]) -> list[int]:
+            taken = set(chain)
+            return [i for i in range(N) if i not in taken]
+
+        try:
+            search(state, size, 0, (0,) if config.symmetry_pruning else range(N - size + 1))
+        except _BudgetExhausted:
+            if state.best_value + shift < lex_value:
+                return certificate(state.best_value + shift, complement(state.best_chain), state.nodes, False)
+            return certificate(lex_value, range(s), state.nodes, False)
+        target = state.best_value
+        if target + shift == lex_value:
+            return certificate(lex_value, range(s), state.nodes, True)
+        # witness search: the first chain within target, visited from the top
+        state.best_value = target + 1
+        complete = True
+        try:
+            search(state, size, target, range(N - size, -1, -1), descending=True)
+        except _BudgetExhausted:
+            complete = False
+        return certificate(target + shift, complement(state.best_chain), state.nodes, complete)
 
     state = None
     if config.checkpoint_path:
@@ -257,62 +412,20 @@ def certify_minimum(params: Params, statistic: str, config: SearchConfig | None 
     if state is None:
         state = _SearchState(lex_value, tuple(range(s)), 0, -1)
 
-    chosen: list[int] = []
+    def after_rank(f0: int) -> None:
+        state.last_first_rank = f0
+        if config.checkpoint_path:
+            with open(config.checkpoint_path, "w") as fh:
+                json.dump(_checkpoint_payload(params, statistic, config, state), fh)
 
-    def rec(start: int, bits: int, cnt: int, need: int) -> None:
-        if strong and need >= 2 and cnt + need > state.best_value:
-            # cheapest increment over every candidate any later slot may use
-            cheapest = None
-            for c in range(start, N):
-                v = inc(c, bits)
-                if cheapest is None or v < cheapest:
-                    cheapest = v
-                    if v == 0:
-                        break
-            if cheapest is None or cnt + need * cheapest >= state.best_value:
-                return
-        for c in range(start, N - need + 1):
-            state.nodes += 1
-            if state.nodes > budget:
-                raise _BudgetExhausted
-            v = cnt + inc(c, bits)
-            if prune and v >= state.best_value:
-                continue
-            if need == 1:
-                if v < state.best_value:
-                    state.best_value = v
-                    state.best_chain = (*chosen, c)
-            else:
-                chosen.append(c)
-                rec(c + 1, bits | (1 << c), v, need - 1)
-                chosen.pop()
-
+    first_ranks = (0,) if config.symmetry_pruning else range(N - s + 1)
+    floor = 0 if prune else -1  # exhaustive mode visits every chain
     complete = True
-    first_ranks = (0,) if config.symmetry_pruning else tuple(range(N - s + 1))
     try:
-        for f0 in first_ranks:
-            if f0 <= state.last_first_rank:
-                continue
-            chosen = [f0]
-            rec(f0 + 1, 1 << f0, 0, s - 1)
-            state.last_first_rank = f0
-            if config.checkpoint_path:
-                with open(config.checkpoint_path, "w") as fh:
-                    json.dump(_checkpoint_payload(params, statistic, config, state), fh)
+        search(state, s, floor, [f0 for f0 in first_ranks if f0 > state.last_first_rank], after_rank=after_rank)
     except _BudgetExhausted:
         complete = False
-
-    witness = SetFamily(n, k, (masks[i] for i in state.best_chain))
-    return SearchCertificate(
-        params,
-        statistic,
-        state.best_value,
-        witness,
-        lex_value,
-        state.best_value == lex_value,
-        state.nodes,
-        complete,
-    )
+    return certificate(state.best_value, state.best_chain, state.nodes, complete)
 
 
 @dataclass(frozen=True)
@@ -545,6 +658,7 @@ def verify_lemma_43_44(n: int, k: int, t: int, r: int) -> StarUnionPairsReport:
     full_ineq = True
     full_eq = True
     stat = T_DISJOINT_PAIRS if t > 1 else DISJOINT_PAIRS
+    lex_values: dict[int, int] = {}  # by size: few sizes occur among the tuples
     for tup in _center_tuples(n, t, r)[1]:
         center_masks = [_elements_mask(c) for c in tup]
         union_mask = reduce(or_, center_masks)
@@ -557,7 +671,9 @@ def verify_lemma_43_44(n: int, k: int, t: int, r: int) -> StarUnionPairsReport:
         # full-stars comparison at this tuple's size
         full_checked += 1
         fam_value = statistic_value(fam, stat, t)
-        lex_value = statistic_value(lex_segment(n, k, len(fam)), stat, t)
+        if len(fam) not in lex_values:
+            lex_values[len(fam)] = statistic_value(lex_segment(n, k, len(fam)), stat, t)
+        lex_value = lex_values[len(fam)]
         if fam_value < lex_value:
             full_ineq = False
             violations.append(f"fullstars: centers {tup} give {fam_value} < lex {lex_value}")

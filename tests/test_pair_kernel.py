@@ -125,6 +125,21 @@ def test_cross_disjoint_pairs_vs_oracle(case, rng):
             assert cross_disjoint_pairs(g, f) == oracles.cross_disjoint_pairs(g_sets, f_sets), path
 
 
+@SETTINGS
+@given(families(), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_cross_disjoint_pairs_small_side(case, size, rng):
+    # an empty or tiny g against a family of up to MAX_S members, both ways
+    n, k, _, f_sets = case
+    pool = oracles.ksets(n, k)
+    g_sets = sorted(rng.sample(pool, min(size, len(pool))), key=oracles.lex_key)
+    f, g = build(n, k, f_sets), build(n, k, g_sets)
+    want = oracles.cross_disjoint_pairs(f_sets, g_sets)
+    for path in PATHS:
+        with forced(path):
+            assert cross_disjoint_pairs(f, g) == want, path
+            assert cross_disjoint_pairs(g, f) == want, path
+
+
 def brute_rows(sets, t):
     rows = []
     for a in sets:

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from setfam import (
@@ -18,7 +20,9 @@ from setfam import (
     certify_minimum,
     disjoint_pairs,
     lex_disj_formula,
+    lex_rank,
     lex_segment,
+    lex_unrank,
     local_search_improve,
     q_matchings,
     statistic_value,
@@ -89,6 +93,97 @@ def test_branch_and_bound_agrees_with_exhaustive():
             assert b.complete
             # pruning keeps the same lex-least witness
             assert a.witness.masks == b.witness.masks, (n, k, s, statistic)
+
+
+# every (n, k) with at most 21 k-sets and at least one pair of them; the
+# k >= 3 ones also take t = 2
+SMALL_GRIDS = [(n, k) for n in range(3, 8) for k in range(1, n) if binom(n, k) <= 21]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SMALL_GRIDS), st.booleans(), st.booleans())
+@example((6, 4), True, True)  # 2-intersecting families beat the star of {1,2}
+@example((6, 3), True, False)
+@example((7, 2), False, True)
+def test_bound_and_complement_agree_with_exhaustive(nk, tdisj, symmetry):
+    # the increment-sum bound, the complement reduction (every s > N/2) and
+    # the closed gap keep the exhaustive minimum and its lex-least witness;
+    # the exhaustive reference is symmetry-independent (checked below)
+    n, k = nk
+    statistic, t = (T_DISJOINT_PAIRS, 2) if tdisj and k >= 3 else (DISJOINT_PAIRS, 1)
+    cfg = SearchConfig(mode="branch_and_bound", symmetry_pruning=symmetry)
+    for s in range(binom(n, k) + 1):
+        want = exhaustive(n, k, s, statistic, t=t)
+        got = certify_minimum(Params(n, k, s, t=t), statistic, cfg)
+        assert got.complete, (n, k, s, statistic)
+        assert got.minimum == want.minimum, (n, k, s, statistic)
+        assert got.witness.masks == want.witness.masks, (n, k, s, statistic)
+
+
+def test_complement_identity_of_minima():
+    # the disjointness graph is d-regular with d = C(n-k, k), so the exact
+    # minima at s and N - s differ by d(2s - N)/2; exhaustive mode never
+    # uses the complement, so this checks the identity the reduction rests on
+    for n, k in [(6, 3), (7, 2)]:
+        N, d = binom(n, k), binom(n - k, k)
+        minima = [exhaustive(n, k, s, DISJOINT_PAIRS).minimum for s in range(N + 1)]
+        for s in range(N + 1):
+            assert 2 * (minima[s] - minima[N - s]) == d * (2 * s - N), (n, k, s)
+
+
+def test_k3_grid_past_the_star_certifies():
+    # (7,3,16..25), every size past the full star of 15 sets, certifies within
+    # the acceptance grid's budget.  For s >= 20 the values follow by hand:
+    # the complement has at most 15 sets, fits in a star and so has no
+    # disjoint pair, and the Kneser graph is 4-regular, so the minimum is
+    # 4(2s - 35)/2.  s = 18 and 19 beat the lex segment (9 and 12).
+    cfg = SearchConfig(mode="branch_and_bound", node_budget=3 * 10**6)
+    minima = []
+    for s in range(16, 26):
+        cert = certify_minimum(Params(7, 3, s), DISJOINT_PAIRS, cfg)
+        assert cert.complete, s
+        assert cert.nodes_visited <= 3 * 10**6
+        minima.append(cert.minimum)
+    assert minima == [3, 6, 8, 9, 10, 14, 18, 22, 26, 30]
+    assert minima[4:] == [2 * (2 * s - 35) for s in range(20, 26)]
+
+
+def test_leaf_ties_take_the_least_rank():
+    # at (7,4,14) with t = 2 (a 2-intersecting family larger than the star
+    # of {1,2}, so below the lex value) two sets complete the witness's
+    # prefix at the minimum; the lex-least witness ends in the lower one
+    cert = certify_minimum(Params(7, 4, 14, t=2), T_DISJOINT_PAIRS)
+    assert cert.complete and cert.minimum == 0 < cert.lex_value
+    head = cert.witness.masks[:-1]
+    ranks = [lex_rank(m) for m in cert.witness]
+
+    def completes(rank):
+        fam = SetFamily(7, 4, [*head, lex_unrank(7, 4, rank).mask])
+        return t_disjoint_pairs(fam, 2).value == cert.minimum
+
+    assert not any(completes(r) for r in range(ranks[-2] + 1, ranks[-1]))
+    assert any(completes(r) for r in range(ranks[-1] + 1, binom(7, 4)))
+
+
+def test_budget_exhaustion_past_half():
+    # s = 19 > 35/2 runs the complement certification, then the witness
+    # search; a budget that stops either phase gives an incomplete but
+    # valid certificate, and one that covers the certification gives the
+    # proven minimum with the witness that phase found
+    params = Params(7, 3, 19)
+    full = certify_minimum(params, DISJOINT_PAIRS)
+    assert full.complete and full.minimum == 9 < full.lex_value
+    for budget in (1, 100, full.nodes_visited // 2, full.nodes_visited - 1):
+        cfg = SearchConfig(mode="branch_and_bound", node_budget=budget)
+        cert = certify_minimum(params, DISJOINT_PAIRS, cfg)
+        assert not cert.complete, budget
+        assert len(cert.witness) == 19
+        assert statistic_value(cert.witness, DISJOINT_PAIRS) == cert.minimum
+        assert full.minimum <= cert.minimum <= cert.lex_value
+        assert cert.nodes_visited == budget + 1
+    assert cert.minimum == full.minimum  # the last budget stops the witness search
+    cfg = SearchConfig(mode="branch_and_bound", node_budget=full.nodes_visited)
+    assert certify_minimum(params, DISJOINT_PAIRS, cfg) == full
 
 
 def test_symmetry_pruning_sound():
